@@ -175,7 +175,8 @@ type Handler struct {
 
 	gate    *overload.Gate
 	limits  *overload.Limiter
-	flights overload.Group[string, *core.Table]
+	flights overload.Group[string, served]
+	memo    docMemo
 
 	reg  *obs.Registry
 	met  handlerMetrics
@@ -233,6 +234,7 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 	for _, e := range core.Experiments() {
 		h.exps[e.ID] = e
 	}
+	h.memo = newDocMemo()
 	// The scenario engine reuses the handler's memoized baseline
 	// campaigns, so a scenario run pays for one scenario simulation,
 	// not two full campaigns.
@@ -521,6 +523,13 @@ type tableJSON struct {
 	Rows    [][]string `json:"rows"`
 }
 
+// served is one coalesced experiment answer: the rendered document and
+// the read-through layer that produced it.
+type served struct {
+	doc *document
+	src source
+}
+
 func (h *Handler) experiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	wantCSV := strings.HasSuffix(id, ".csv")
@@ -530,35 +539,28 @@ func (h *Handler) experiment(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown experiment %q", id)})
 		return
 	}
-	// Coalesce concurrent requests for the same experiment into one
-	// computation, consulting the result store before computing and
-	// persisting fresh results. Failures are not cached at any layer.
+	if doc := h.memo.get(id); doc != nil {
+		h.writeExperiment(w, served{doc, srcMemo}, wantCSV)
+		return
+	}
+	// Coalesce concurrent misses for the same experiment into one
+	// computation; its leader fills the memo before the flight ends.
+	// Failures are not cached at any layer.
 	ctx, span := obs.StartSpan(r.Context(), "experiment")
 	span.SetAttr("id", id)
-	table, err, shared := h.flights.Do(id, func() (*core.Table, error) {
-		if t, ok := h.storedTable(id); ok {
-			return t, nil
-		}
-		// A coordinator reads through the ring first: the owning
-		// worker has likely computed (and cached) the table already.
-		if h.cluster != nil {
-			if t, ok := h.clusterTable(ctx, id); ok {
-				h.persistTable(id, t)
-				return t, nil
-			}
-		}
-		t, err := h.runExperiment(ctx, exp)
-		if err == nil {
-			h.persistTable(id, t)
-		}
-		return t, err
+	res, err, shared := h.flights.Do(id, func() (served, error) {
+		return h.fillExperiment(ctx, exp)
 	})
-	if shared {
+	switch {
+	case shared:
 		h.met.followers.Inc()
-	} else {
+	case err != nil || res.src != srcMemo:
 		h.met.leaders.Inc()
 	}
 	span.SetAttr("coalesced", shared)
+	if err == nil {
+		span.SetAttr("source", sourceNames[res.src])
+	}
 	span.End()
 	if err != nil {
 		// Transient: the failed simulation was not cached, so the
@@ -569,12 +571,63 @@ func (h *Handler) experiment(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": fmt.Sprintf("experiment %s temporarily unavailable: %v", id, err)})
 		return
 	}
+	h.writeExperiment(w, res, wantCSV)
+}
+
+// writeExperiment answers with one rendered form of an experiment and
+// records which layer produced it.
+func (h *Handler) writeExperiment(w http.ResponseWriter, res served, wantCSV bool) {
+	h.met.sources[res.src].Inc()
+	w.Header()["Server-Timing"] = serverTiming[res.src]
 	if wantCSV {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		fmt.Fprint(w, table.CSV())
+		writeBody(w, csvContentType, res.doc.csv)
 		return
 	}
-	writeJSON(w, http.StatusOK, tableJSON{Caption: table.Caption, Header: table.Header, Rows: table.Rows})
+	writeBody(w, jsonContentType, res.doc.json)
+}
+
+// fillExperiment is a flight leader's read-through below the memo:
+// store, then (on a coordinator) the ring, then simulation. It
+// re-checks the memo first, because a request that missed it can
+// reach the flight just after the previous leader filled it. Only a
+// successful rendering is memoized.
+func (h *Handler) fillExperiment(ctx context.Context, e core.Experiment) (served, error) {
+	if doc := h.memo.get(e.ID); doc != nil {
+		return served{doc, srcMemo}, nil
+	}
+	t, src, err := h.experimentTable(ctx, e)
+	if err != nil {
+		return served{}, err
+	}
+	doc, err := renderTable(t)
+	if err != nil {
+		return served{}, err
+	}
+	h.memo.put(e.ID, doc)
+	return served{doc, src}, nil
+}
+
+// experimentTable reads one experiment table through the store and the
+// cluster before computing it, persisting whatever it did not load
+// from the store.
+func (h *Handler) experimentTable(ctx context.Context, e core.Experiment) (*core.Table, source, error) {
+	if t, ok := h.storedTable(e.ID); ok {
+		return t, srcStore, nil
+	}
+	// A coordinator reads through the ring first: the owning worker
+	// has likely computed (and cached) the table already.
+	if h.cluster != nil {
+		if t, ok := h.clusterTable(ctx, e.ID); ok {
+			h.persistTable(e.ID, t)
+			return t, srcCluster, nil
+		}
+	}
+	t, err := h.runExperiment(ctx, e)
+	if err != nil {
+		return nil, srcCompute, err
+	}
+	h.persistTable(e.ID, t)
+	return t, srcCompute, nil
 }
 
 // countrySummary is the per-country JSON document.
@@ -597,13 +650,18 @@ func (h *Handler) country(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": fmt.Sprintf("%q is not a two-letter country code", cc)})
 		return
 	}
+	key := countryKey(cc)
+	if doc := h.memo.get(key); doc != nil {
+		writeBody(w, jsonContentType, doc.json)
+		return
+	}
 	country, ok := geo.LookupCountry(cc)
 	if !ok || !country.LACNIC {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("%q is not a LACNIC country", cc)})
 		return
 	}
 	jan24 := months.New(2024, time.January)
-	writeJSON(w, http.StatusOK, countrySummary{
+	h.memoJSON(w, key, countrySummary{
 		Code:            country.Code,
 		Name:            country.Name,
 		Cables2000:      h.w.Cables.CountryCount(cc, 2000),
@@ -626,6 +684,10 @@ type signatureJSON struct {
 }
 
 func (h *Handler) signatures(w http.ResponseWriter, _ *http.Request) {
+	if doc := h.memo.get(signaturesKey); doc != nil {
+		writeBody(w, jsonContentType, doc.json)
+		return
+	}
 	result := core.CrisisSignatures(h.w, nil)
 	out := make([]signatureJSON, 0, len(result.Signatures))
 	for _, s := range result.Signatures {
@@ -637,7 +699,7 @@ func (h *Handler) signatures(w http.ResponseWriter, _ *http.Request) {
 			Magnitude: s.Event.Magnitude,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"signatures": out})
+	h.memoJSON(w, signaturesKey, map[string]any{"signatures": out})
 }
 
 // validCountryCode reports whether cc looks like an ISO 3166-1 alpha-2
@@ -653,6 +715,19 @@ func validCountryCode(cc string) bool {
 		}
 	}
 	return true
+}
+
+// memoJSON renders a 200 document, memoizes it under key, and writes
+// it.
+func (h *Handler) memoJSON(w http.ResponseWriter, key string, v any) {
+	body, err := renderJSON(v)
+	if err != nil {
+		log.Printf("httpapi: encode %T response: %v", v, err)
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal error"})
+		return
+	}
+	h.memo.put(key, &document{json: body})
+	writeBody(w, jsonContentType, body)
 }
 
 // writeJSON sets the Content-Type before committing the status (headers

@@ -21,6 +21,7 @@ type handlerMetrics struct {
 	queueWait *obs.Histogram            // admission-gate queue wait
 	leaders   *obs.Counter              // singleflight executions
 	followers *obs.Counter              // coalesced singleflight waits
+	sources   [numSources]*obs.Counter  // experiment answers by read-through layer
 }
 
 var requestClasses = []string{"health", "experiment", "scenario", "sweep", "query", "api", "metrics", "cluster"}
@@ -55,6 +56,10 @@ func newHandlerMetrics(reg *obs.Registry) handlerMetrics {
 		"Experiment computations executed (singleflight leaders).")
 	m.followers = reg.Counter("vz_flight_followers_total",
 		"Experiment requests served by another caller's computation.")
+	for i, name := range sourceNames {
+		m.sources[i] = reg.Counter("vz_experiment_source_total",
+			"Successful experiment responses, by the read-through layer that produced them.", obs.L("source", name))
+	}
 	return m
 }
 

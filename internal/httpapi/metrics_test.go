@@ -32,7 +32,7 @@ func TestMetricsEndpointAfterWarmedCampaign(t *testing.T) {
 	})
 
 	// fig12 simulates the trace campaign, fig6 the chaos sweep; the
-	// second fig12 hit is served from the store.
+	// second fig12 hit is served from the in-process memo.
 	for _, path := range []string{"/api/experiments/fig12", "/api/experiments/fig6", "/api/experiments/fig12"} {
 		rec := do(t, h, http.MethodGet, path)
 		if rec.Code != http.StatusOK {
@@ -57,14 +57,19 @@ func TestMetricsEndpointAfterWarmedCampaign(t *testing.T) {
 		`vz_http_responses_total{code="2xx"}`,
 		"vz_gate_inflight 0",
 		"vz_gate_queue_wait_seconds_count 3",
-		// Singleflight: three experiment requests, three leaders (the
-		// repeat was sequential, so it led its own flight and hit the
-		// store).
-		"vz_flight_leaders_total 3",
+		// Singleflight: three experiment requests, two leaders (the
+		// repeat was sequential and answered from the memo, ahead of
+		// the flight).
+		"vz_flight_leaders_total 2",
 		"vz_flight_followers_total 0",
-		// Result store: campaign persists + table persists, one get hit.
-		"vz_resultstore_puts_total",
-		"vz_resultstore_hits_total",
+		// Read-through layers: two computations, one memo hit.
+		`vz_experiment_source_total{source="compute"} 2`,
+		`vz_experiment_source_total{source="memo"} 1`,
+		`vz_experiment_source_total{source="store"} 0`,
+		// Result store: two campaign persists + two table persists; the
+		// memo answered the repeat, so no get hit.
+		"vz_resultstore_puts_total 4",
+		"vz_resultstore_hits_total 0",
 		// Campaign engine: each campaign simulated exactly once.
 		`vz_campaign_runs_total{campaign="trace"} 1`,
 		`vz_campaign_runs_total{campaign="chaos"} 1`,
